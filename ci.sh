@@ -67,7 +67,16 @@ if [[ $fast -eq 0 ]]; then
     echo "mixed-protocol determinism gate failed: no Lock-family specs in the output" >&2
     exit 1
   fi
-  echo "mixed-protocol determinism gate ok: identical specs for threads 1 and 4"
+  # The residual schedule runs its own message kernel on the wide WEAKEN
+  # factors (per-factor elimination with a cached result), so it gets the
+  # same byte-diff.
+  ./target/release/anek infer --protocols all --bp-schedule residual --threads 1 --max-iters 9360 "$tmp"/mixed/*.java 2>/dev/null >"$tmp/mixed.r1"
+  ./target/release/anek infer --protocols all --bp-schedule residual --threads 4 --max-iters 9360 "$tmp"/mixed/*.java 2>/dev/null >"$tmp/mixed.r4"
+  if ! diff -u "$tmp/mixed.r1" "$tmp/mixed.r4"; then
+    echo "mixed-protocol determinism gate failed: residual threads 1 and 4 inferred different specs" >&2
+    exit 1
+  fi
+  echo "mixed-protocol determinism gate ok: identical specs for threads 1 and 4 (sweep and residual)"
 
   step "protocol quality gate (per-family precision/recall vs baseline)"
   # Per-family F1 must not drop below the checked-in baseline, every

@@ -9,7 +9,7 @@
 //! bucketed batch queue commits in a deterministic order (coarse
 //! log-spaced buckets, FIFO within a bucket, whole-bucket batches), so its
 //! marginals are just as reproducible — any change to bucket boundaries,
-//! batch application order, or the sparse two-valued message path moves
+//! batch application order, or the wide-factor elimination path moves
 //! these bits and must regenerate the fixture deliberately.
 //!
 //! Regenerate (only after an *intentional* numeric change) with:

@@ -28,7 +28,8 @@
 //! A single core parameterized by the sum/max semiring serves both marginal
 //! ([`CompiledGraph::solve`]) and MAP ([`CompiledGraph::solve_map`])
 //! inference, with specialized paths for unary and pairwise factors that
-//! skip the generic `2^n` table walk.
+//! skip the generic `2^n` table walk, and — under the residual schedule
+//! only — an elimination path for wide factors (see below).
 //!
 //! Two message schedules are provided (see [`BpSchedule`]):
 //!
@@ -47,8 +48,9 @@
 //!
 //! Callers that solve many graphs in a row should reuse a [`Scratch`]
 //! across solves ([`CompiledGraph::solve_stamped_scratch`]): all working
-//! arrays — messages, candidates, residuals, the bucket queue — are then
-//! recycled instead of reallocated per solve.
+//! arrays — messages, candidates, residuals, the bucket queue, the
+//! wide-factor message cache — are then recycled instead of reallocated
+//! per solve.
 //!
 //! ## The bucketed residual schedule
 //!
@@ -87,6 +89,25 @@
 //! from a pure max-residual heap; it is fully deterministic, and the
 //! resulting marginals are pinned by the `figure3_residual` golden
 //! fixture.
+//!
+//! ## Wide-factor messages under the residual schedule
+//!
+//! A batch that changes one variable→factor message of an arity-`n` factor
+//! invalidates the candidates of the other `n − 1` edges of that factor.
+//! Walking the table once per edge costs `n · 2^n` cells, each a product
+//! of `n − 1` messages. For a factor of arity ≥ [`WIDE_MIN_ARITY`] the
+//! residual schedule instead runs one divide-and-conquer variable
+//! elimination ([`eliminate`]) that yields the raw `(t, f)` message of
+//! *every* position in about `4 · 2^n` branch-free multiply-adds, under
+//! either semiring and whatever the table holds. The results wait in a
+//! per-factor cache inside [`Scratch`] until one of the factor's
+//! variable→factor messages is rewritten, and each edge normalizes its own
+//! entry only when it consumes it — so guard events and update counts are
+//! exactly those of one message walk per candidate. Elimination sums in a
+//! different order than the dense walk (the `figure3_residual` fixture
+//! pins its bits); the sweep schedule keeps the dense walk, frozen by the
+//! historical fixture, and factors below the arity floor keep it under
+//! both schedules.
 
 use crate::factor::VarId;
 use crate::graph::{BpOptions, BpPrecision, BpSchedule, FactorGraph, GuardEvents, Marginals};
@@ -170,96 +191,133 @@ pub struct CompiledGraph {
     /// factor→variable message for this edge is stored at (the inverse
     /// permutation of `v_edges`).
     vslot: Vec<u32>,
-    /// Per factor: sparse summary of a two-valued table (see [`TwoValued`]),
-    /// `None` when the factor is small or its table has more than two
-    /// distinct values.
-    sparse: Vec<Option<TwoValued>>,
-    /// Minority table indices for all [`TwoValued`] rows, concatenated,
-    /// ascending within each row.
-    sparse_idx: Vec<u16>,
 }
 
-/// Sparse summary of a two-valued factor table: every cell holds `maj`
-/// except the cells listed at `sparse_idx[i0..i1]`, which hold `minv`.
-///
-/// Soft factors built from predicates (`Factor::soft`) always produce such
-/// tables (`h` where the predicate holds, `1-h` elsewhere), so for a wide
-/// factor the sum-product message collapses to a rank-one correction:
-///
-/// ```text
-/// acc(b) = maj * Π_{i≠pos}(m_i(0)+m_i(1)) + (minv-maj) * Σ_{minority, bit_pos=b} Π_{i≠pos} m_i
-/// ```
-///
-/// which costs `O(|minority| * n)` instead of `O(2^n * n)`. Only the
-/// residual schedule uses this path — the sweep schedule's dense
-/// accumulation order is frozen bit-for-bit by the golden fixtures.
-#[derive(Debug, Clone, Copy)]
-struct TwoValued {
-    maj: f64,
-    minv: f64,
-    i0: u32,
-    i1: u32,
-}
-
-/// Arity floor for the sparse two-valued message path. Narrow factors gain
-/// little, and keeping them on the dense walk means the symmetric one-hot
-/// selector factors (arity ≤ 5) retain the exact historical accumulation —
-/// the order the batch scheduler's symmetric-fixed-point guarantee was
+/// Arity floor for the residual schedule's wide-factor elimination path
+/// ([`CompiledGraph::wide_messages`]). Narrow factors gain little, and
+/// keeping them on the dense walk means the symmetric one-hot selector
+/// factors (arity ≤ 5) retain the exact historical accumulation — the
+/// order the batch scheduler's symmetric-fixed-point guarantee was
 /// validated against.
-const SPARSE_MIN_ARITY: usize = 6;
+const WIDE_MIN_ARITY: usize = 6;
 
-/// Builds the [`TwoValued`] summary for one factor table, appending its
-/// minority indices to `sparse_idx`. Values are compared bit-exactly (so a
-/// NaN-poisoned table still groups, and is handled by `normalize`'s
-/// non-finite guard like the dense path). Ties pick `table[0]` as the
-/// majority, deterministically.
-fn two_valued_summary(table: &[f64], sparse_idx: &mut Vec<u16>) -> Option<TwoValued> {
-    let n_cells = table.len();
-    if !(1 << SPARSE_MIN_ARITY..=1 << 16).contains(&n_cells) {
-        return None;
+/// The residual schedule's per-factor cache of raw wide-factor messages.
+///
+/// One elimination pass yields the raw `(t, f)` message of every scope
+/// position of a factor at once; the cache keeps them until a
+/// variable→factor message of that factor is rewritten. Factor `fi`'s
+/// entries are valid iff `stamp[fi] == gen`: rewriting every `vf` message
+/// bumps `gen`, rewriting one of them resets its factor's stamp. Messages
+/// are normalized (and guard events counted) only when an edge consumes
+/// its entry, so the cache is invisible in every count and every bit.
+#[derive(Debug, Default)]
+struct WideCache {
+    /// Raw `(t, f)` message per edge, factor-major.
+    raw: Vec<f64>,
+    /// Per factor: the generation its `raw` entries were computed at.
+    stamp: Vec<u32>,
+    /// The current generation; starts at 1 so a zero stamp is never valid.
+    gen: u32,
+    /// Elimination workspace (see [`eliminate`]).
+    work: Vec<f64>,
+}
+
+impl WideCache {
+    /// Empties the cache for a solve over `ne` edges and `nf` factors.
+    fn reset(&mut self, ne: usize, nf: usize) {
+        self.raw.clear();
+        self.raw.resize(2 * ne, 0.0);
+        self.stamp.clear();
+        self.stamp.resize(nf, 0);
+        self.gen = 1;
     }
-    let a = table[0].to_bits();
-    let mut b = None;
-    let mut count_b = 0usize;
-    for &v in table {
-        let bits = v.to_bits();
-        if bits == a {
-            continue;
-        }
-        match b {
-            None => {
-                b = Some(bits);
-                count_b = 1;
-            }
-            Some(x) if x == bits => count_b += 1,
-            Some(_) => return None,
+
+    /// Invalidates every factor: all variable→factor messages were rewritten.
+    fn bump(&mut self) {
+        self.gen += 1;
+    }
+
+    /// Invalidates factor `fi`: one of its variable→factor messages changed.
+    fn invalidate(&mut self, fi: usize) {
+        self.stamp[fi] = 0;
+    }
+}
+
+/// Sums out every position but one, for every position at once, by
+/// divide-and-conquer variable elimination.
+///
+/// `src` is a table over `k = local.len() / 2` scope positions (bit `j` of
+/// the index is position `j`) and `local` holds their incoming `(t, f)`
+/// message pairs. For each position `j`, writes the raw message
+/// `(⊕_{bit_j = 1} …, ⊕_{bit_j = 0} …)` of `src ⊗ Π_{i≠j} m_i` to
+/// `out[2j..2j + 2]`, where `⊕` is `max` under `MAX` and `+` otherwise.
+///
+/// The low half of the scope receives the table with the high half summed
+/// out (one position at a time, from the top bit down), the high half the
+/// table with the low half summed out (from bit 0 up), and each half
+/// recurses. The top level costs about `2 · 2^k` branch-free
+/// multiply-adds per half and the recursion adds lower-order terms, so all
+/// `k` messages cost about `4 · 2^k` — against about `k² · 2^k` for `k`
+/// dense walks. `work` must hold at least `2^(k+1)` entries.
+fn eliminate<const MAX: bool, S: MsgElem>(
+    src: &[f64],
+    local: &[S],
+    out: &mut [f64],
+    work: &mut [f64],
+) {
+    #[inline(always)]
+    fn plus<const MAX: bool>(a: f64, b: f64) -> f64 {
+        if MAX {
+            a.max(b)
+        } else {
+            a + b
         }
     }
-    let (maj_bits, min_bits) = match b {
-        // Constant table: empty minority, the correction term vanishes.
-        None => (a, a),
-        Some(bits) if count_b * 2 <= n_cells => (a, bits),
-        Some(bits) => (bits, a),
-    };
-    let i0 = sparse_idx.len() as u32;
-    if min_bits != maj_bits {
-        for (idx, &v) in table.iter().enumerate() {
-            if v.to_bits() == min_bits {
-                sparse_idx.push(idx as u16);
-            }
+    let k = local.len() / 2;
+    if k == 1 {
+        out[0] = src[1];
+        out[1] = src[0];
+        return;
+    }
+    let msg = |j: usize| (local[2 * j].dec(), local[2 * j + 1].dec());
+    let mid = k / 2;
+    let half = src.len() / 2;
+    let (lo, rest) = work.split_at_mut(half);
+    let (hi, rest) = rest.split_at_mut(half);
+    // Low-half targets: sum out positions `mid..k`, top bit first.
+    let (mt, mf) = msg(k - 1);
+    for x in 0..half {
+        lo[x] = plus::<MAX>(src[x] * mf, src[x + half] * mt);
+    }
+    let mut len = half;
+    for j in (mid..k - 1).rev() {
+        len /= 2;
+        let (mt, mf) = msg(j);
+        for x in 0..len {
+            lo[x] = plus::<MAX>(lo[x] * mf, lo[x + len] * mt);
         }
     }
-    Some(TwoValued {
-        maj: f64::from_bits(maj_bits),
-        minv: f64::from_bits(min_bits),
-        i0,
-        i1: sparse_idx.len() as u32,
-    })
+    // High-half targets: sum out positions `0..mid`, bit 0 first.
+    let (mt, mf) = msg(0);
+    for x in 0..half {
+        hi[x] = plus::<MAX>(src[2 * x] * mf, src[2 * x + 1] * mt);
+    }
+    let mut len = half;
+    for j in 1..mid {
+        len /= 2;
+        let (mt, mf) = msg(j);
+        for x in 0..len {
+            hi[x] = plus::<MAX>(hi[2 * x] * mf, hi[2 * x + 1] * mt);
+        }
+    }
+    let (out_lo, out_hi) = out.split_at_mut(2 * mid);
+    eliminate::<MAX, S>(&lo[..1 << mid], &local[..2 * mid], out_lo, rest);
+    eliminate::<MAX, S>(&hi[..1 << (k - mid)], &local[2 * mid..], out_hi, rest);
 }
 
 /// Reusable per-solve working memory: message pair arrays (one pool per
 /// stored precision), the stamped-extra index, and the residual schedule's
-/// candidate/bucket state.
+/// candidate/bucket state and wide-factor message cache.
 ///
 /// A `Scratch` may be reused across solves of *different* graphs — every
 /// buffer is (re)sized and reinitialized at the start of each solve, so a
@@ -292,6 +350,7 @@ pub struct Scratch {
     touched: Vec<u32>,
     vmark: Vec<u8>,
     emark: Vec<u8>,
+    wide: WideCache,
 }
 
 impl Scratch {
@@ -463,8 +522,6 @@ impl CompiledGraph {
         let mut edge_var = Vec::with_capacity(n_edges);
         let mut edge_factor = Vec::with_capacity(n_edges);
         let mut tables = Vec::new();
-        let mut sparse = Vec::with_capacity(factors.len());
-        let mut sparse_idx: Vec<u16> = Vec::new();
         f_off.push(0u32);
         t_off.push(0u32);
         for (fi, f) in factors.iter().enumerate() {
@@ -472,7 +529,6 @@ impl CompiledGraph {
                 edge_var.push(v.0);
                 edge_factor.push(fi as u32);
             }
-            sparse.push(two_valued_summary(f.table(), &mut sparse_idx));
             tables.extend_from_slice(f.table());
             // Pad the row to the alignment boundary with zero potentials
             // (sliced off / skipped by every consumer), so the next row
@@ -501,19 +557,7 @@ impl CompiledGraph {
             vslot[e] = slot;
             cursor[v as usize] += 1;
         }
-        CompiledGraph {
-            n_vars,
-            f_off,
-            t_off,
-            tables,
-            edge_var,
-            edge_factor,
-            v_off,
-            v_edges,
-            vslot,
-            sparse,
-            sparse_idx,
-        }
+        CompiledGraph { n_vars, f_off, t_off, tables, edge_var, edge_factor, v_off, v_edges, vslot }
     }
 
     /// Number of variables.
@@ -750,78 +794,60 @@ impl CompiledGraph {
     /// The damped candidate update for factor→variable message `e`, read
     /// from a cache of current variable→factor messages (`vf` pair slot `o`
     /// must hold [`CompiledGraph::vf_message`] of `o` for every edge `o` of
-    /// `e`'s factor).
+    /// `e`'s factor, and `wide` must have been invalidated for every factor
+    /// whose `vf` slots changed since it was filled).
     fn candidate_cached<const MAX: bool, S: MsgElem>(
         &self,
         e: usize,
         fv: &[S],
         vf: &[S],
         d: f64,
+        wide: &mut WideCache,
         ev: &mut GuardEvents,
     ) -> f64 {
         let fi = self.edge_factor[e] as usize;
         let e0 = self.f_off[fi] as usize;
         let e1 = self.f_off[fi + 1] as usize;
         let local = &vf[2 * e0..2 * e1];
-        // Wide two-valued tables take the sparse rank-one path (sum-product
-        // only; the max semiring does not decompose over the majority
-        // value). Everything else replicates the sweep kernel exactly.
-        let new = match self.sparse[fi] {
-            Some(row) if !MAX => self.factor_message_sparse::<S>(&row, e - e0, local, ev),
-            _ => self.factor_message_local::<MAX, S>(fi, e - e0, local, ev),
+        // Wide factors share one elimination pass among all their edges;
+        // everything else replicates the sweep kernel exactly.
+        let new = if e1 - e0 >= WIDE_MIN_ARITY {
+            if wide.stamp[fi] != wide.gen {
+                self.wide_messages::<MAX, S>(
+                    fi,
+                    local,
+                    &mut wide.raw[2 * e0..2 * e1],
+                    &mut wide.work,
+                );
+                wide.stamp[fi] = wide.gen;
+            }
+            normalize(wide.raw[2 * e], wide.raw[2 * e + 1], ev)
+        } else {
+            self.factor_message_local::<MAX, S>(fi, e - e0, local, ev)
         };
         damp(get_t(fv, self.vslot[e] as usize), new, d)
     }
 
-    /// One sum-product factor→variable message through a [`TwoValued`]
-    /// sparse table summary: a full-sum majority term plus a minority
-    /// correction that only walks the `minv`-valued cells.
+    /// The raw (unnormalized) factor→variable messages of factor `fi` for
+    /// every scope position, as `(t, f)` pairs in `out`, by one
+    /// [`eliminate`] pass over its table.
     ///
-    /// Accumulation is deterministic — minority cells in ascending
-    /// table-index order, operand products left-associated in ascending
-    /// scope order skipping `pos` — but *not* bit-identical to the dense
-    /// walk, which is why only the residual schedule dispatches here.
-    fn factor_message_sparse<S: MsgElem>(
+    /// Accumulation is deterministic but *not* bit-identical to the dense
+    /// walk of [`CompiledGraph::factor_message_local`], which is why only
+    /// the residual schedule dispatches here.
+    fn wide_messages<const MAX: bool, S: MsgElem>(
         &self,
-        row: &TwoValued,
-        pos: usize,
+        fi: usize,
         local: &[S],
-        ev: &mut GuardEvents,
-    ) -> f64 {
+        out: &mut [f64],
+        work: &mut Vec<f64>,
+    ) {
         let n = local.len() / 2;
-        // Σ over all assignments of the other variables of Π m_i(bit_i)
-        // factorizes into Π (m_i(0) + m_i(1)).
-        let mut p_all = 1.0f64;
-        for opos in 0..n {
-            if opos == pos {
-                continue;
-            }
-            p_all *= local[2 * opos].dec() + local[2 * opos + 1].dec();
+        let table = &self.tables[self.t_off[fi] as usize..][..1 << n];
+        if work.len() < 2 << n {
+            work.resize(2 << n, 0.0);
         }
-        let mut t_t = 0.0f64;
-        let mut t_f = 0.0f64;
-        for &idx in &self.sparse_idx[row.i0 as usize..row.i1 as usize] {
-            let idx = idx as usize;
-            let mut w = 1.0f64;
-            for opos in 0..n {
-                if opos == pos {
-                    continue;
-                }
-                let bit = idx & (1 << opos) != 0;
-                w *= if bit { local[2 * opos].dec() } else { local[2 * opos + 1].dec() };
-            }
-            if idx & (1 << pos) != 0 {
-                t_t += w;
-            } else {
-                t_f += w;
-            }
-        }
-        let delta = row.minv - row.maj;
-        // Each lane is mathematically a sum of non-negative products; the
-        // clamp only absorbs last-ulp cancellation when `delta` is negative.
-        let acc_t = (row.maj * p_all + delta * t_t).max(0.0);
-        let acc_f = (row.maj * p_all + delta * t_f).max(0.0);
-        normalize(acc_t, acc_f, ev)
+        eliminate::<MAX, S>(table, local, out, work);
     }
 
     /// One factor→variable message for factor `fi`, target scope position
@@ -901,6 +927,7 @@ impl CompiledGraph {
         scratch: &mut Scratch,
     ) -> Marginals {
         let ne = self.edge_var.len();
+        let nf = self.f_off.len() - 1;
         let d = opts.damping;
         let mut ev = GuardEvents::default();
 
@@ -931,9 +958,11 @@ impl CompiledGraph {
             touched,
             vmark,
             emark,
+            wide,
             ..
         } = scratch;
         let extras = ExtraIndex::build(self.n_vars, extras_in, ps, x_off, x_idx);
+        wide.reset(ne, nf);
 
         let budget = opts
             .max_iterations
@@ -965,11 +994,12 @@ impl CompiledGraph {
                 let m = self.vf_message(e, &fv, &xm, &extras, &mut ev);
                 put(&mut vf, e, m);
             }
+            wide.bump();
             // In-place is still Jacobi here: the factor message reads only
             // `vf`, and each edge's `fv` slot is read (for damping) only by
             // its own candidate.
             for e in 0..ne {
-                let c = self.candidate_cached::<MAX, S>(e, &fv, &vf, d, &mut ev);
+                let c = self.candidate_cached::<MAX, S>(e, &fv, &vf, d, wide, &mut ev);
                 put(&mut fv, self.vslot[e] as usize, c);
             }
             updates += ne;
@@ -984,6 +1014,7 @@ impl CompiledGraph {
             let m = self.vf_message(e, &fv, &xm, &extras, &mut ev);
             put(&mut vf, e, m);
         }
+        wide.bump();
         cand.clear();
         cand.resize(ne, 0.0);
         resid.clear();
@@ -1003,7 +1034,7 @@ impl CompiledGraph {
             q.clear();
         }
         for e in 0..ne {
-            cand[e] = self.candidate_cached::<MAX, S>(e, &fv, &vf, d, &mut ev);
+            cand[e] = self.candidate_cached::<MAX, S>(e, &fv, &vf, d, wide, &mut ev);
             resid[e] = (cand[e] - get_t(&fv, self.vslot[e] as usize)).abs();
             if resid[e] >= opts.tolerance {
                 let b = bucket_of(resid[e]);
@@ -1071,6 +1102,7 @@ impl CompiledGraph {
                     let m = self.vf_message(o as usize, &fv, &xm, &extras, &mut ev);
                     if S::enc(m).dec() != get_t(&vf, o as usize) {
                         put(&mut vf, o as usize, m);
+                        wide.invalidate(self.edge_factor[o as usize] as usize);
                         changed_vf.push(o);
                     }
                 }
@@ -1098,7 +1130,7 @@ impl CompiledGraph {
             }
             for &e3 in touched.iter() {
                 let eu = e3 as usize;
-                cand[eu] = self.candidate_cached::<MAX, S>(eu, &fv, &vf, d, &mut ev);
+                cand[eu] = self.candidate_cached::<MAX, S>(eu, &fv, &vf, d, wide, &mut ev);
                 let r = (cand[eu] - get_t(&fv, self.vslot[eu] as usize)).abs();
                 resid[eu] = r;
                 if r >= opts.tolerance {
@@ -1275,6 +1307,11 @@ mod tests {
         g.add_factor(Factor::soft(xs[..3].to_vec(), 0.9, |a| {
             a.iter().filter(|b| **b).count() == 1
         }));
+        // One wide factor, so residual solves run the elimination path and
+        // its per-factor cache.
+        g.add_factor(Factor::soft(xs.clone(), 0.7, |a| {
+            a[0] || a.iter().filter(|b| **b).count() >= 4
+        }));
         g
     }
 
@@ -1282,15 +1319,122 @@ mod tests {
     fn scratch_reuse_is_bit_identical_to_fresh() {
         let g = loopy_fixture();
         let compiled = CompiledGraph::compile(&g);
+        let mut h = FactorGraph::new();
+        let ys: Vec<_> = (0..8).map(|i| h.add_var(format!("y{i}"))).collect();
+        h.add_factor(Factor::unary(ys[2], 0.8));
+        h.add_factor(Factor::soft(ys.clone(), 0.9, |a| a[2] == a[5]));
+        h.add_factor(Factor::soft(ys[1..7].to_vec(), 0.6, |a| a[0] != a[3]));
+        let other = CompiledGraph::compile(&h);
         for schedule in [BpSchedule::Sweep, BpSchedule::Residual] {
             let opts = BpOptions { schedule, damping: 0.1, ..BpOptions::default() };
             let extras = [(VarId(1), 0.7), (VarId(4), 0.3)];
             let mut scratch = Scratch::new();
-            // Dirty the scratch with a different solve first.
+            // Dirty the scratch with a different graph and a different
+            // solve of this one first.
+            let _ = other.solve_stamped_scratch(&[], &opts, &mut scratch);
             let _ = compiled.solve_stamped_scratch(&[], &opts, &mut scratch);
             let reused = compiled.solve_stamped_scratch(&extras, &opts, &mut scratch);
             let fresh = compiled.solve_stamped(&extras, &opts);
             assert_eq!(reused, fresh, "{schedule}");
+        }
+    }
+
+    /// Checks [`CompiledGraph::wide_messages`] on factor 0 of `compiled`
+    /// against one dense walk per scope position.
+    fn assert_elimination_matches_dense<const MAX: bool>(compiled: &CompiledGraph, local: &[f64]) {
+        let n = local.len() / 2;
+        let mut raw = vec![0.0; 2 * n];
+        let mut work = Vec::new();
+        compiled.wide_messages::<MAX, f64>(0, local, &mut raw, &mut work);
+        let mut ev = GuardEvents::default();
+        for pos in 0..n {
+            let dense = compiled.factor_message_local::<MAX, f64>(0, pos, local, &mut ev);
+            let elim = normalize(raw[2 * pos], raw[2 * pos + 1], &mut ev);
+            assert!(
+                (elim - dense).abs() <= 1e-12 * dense.abs().max(elim.abs()),
+                "max={MAX} arity {n} pos {pos}: elimination {elim:e} vs dense {dense:e}"
+            );
+        }
+        assert!(!ev.any(), "positive tables must not clamp");
+    }
+
+    #[test]
+    fn wide_elimination_matches_dense_walk() {
+        prng::forall("wide-elimination", 60, |rng| {
+            let n = rng.gen_index(WIDE_MIN_ARITY..13);
+            let mut g = FactorGraph::new();
+            let scope: Vec<_> = (0..n).map(|i| g.add_var(format!("w{i}"))).collect();
+            if rng.gen_bool(0.5) {
+                // Two-valued, as `Factor::soft` builds them.
+                let h = 0.55 + 0.44 * rng.gen_f64();
+                let k = rng.gen_index(1..n);
+                g.add_factor(Factor::soft(scope, h, move |a| {
+                    a.iter().filter(|b| **b).count() == k
+                }));
+            } else {
+                // Arbitrary positive values, with zero rows.
+                let table: Vec<f64> = (0..1usize << n)
+                    .map(|i| if i > 1 && rng.gen_bool(0.3) { 0.0 } else { 0.01 + rng.gen_f64() })
+                    .collect();
+                g.add_factor(Factor::from_raw_parts(scope, table));
+            }
+            let compiled = CompiledGraph::compile(&g);
+            let local: Vec<f64> = (0..n)
+                .flat_map(|_| {
+                    let m = 0.001 + 0.998 * rng.gen_f64();
+                    [m, 1.0 - m]
+                })
+                .collect();
+            assert_elimination_matches_dense::<false>(&compiled, &local);
+            assert_elimination_matches_dense::<true>(&compiled, &local);
+        });
+    }
+
+    #[test]
+    fn residual_warm_sweeps_match_dense_jacobi_sweeps() {
+        // With `max_iterations: 2` the residual solve stops right after its
+        // warm sweeps, so its beliefs must equal two dense Jacobi sweeps:
+        // a wide-factor cache entry that outlived a `vf` rewrite would leak
+        // stale messages into the second sweep.
+        let g = loopy_fixture();
+        let compiled = CompiledGraph::compile(&g);
+        let d = 0.1;
+        let opts = BpOptions {
+            schedule: BpSchedule::Residual,
+            max_iterations: WARM_SWEEPS,
+            damping: d,
+            ..BpOptions::default()
+        };
+        let solved = compiled.solve(&opts);
+        assert_eq!(solved.updates, WARM_SWEEPS * compiled.num_edges());
+
+        let ne = compiled.num_edges();
+        let (mut ps, mut x_off, mut x_idx) = (Vec::new(), Vec::new(), Vec::new());
+        let extras = ExtraIndex::build(compiled.n_vars, &[], &mut ps, &mut x_off, &mut x_idx);
+        let mut ev = GuardEvents::default();
+        let (mut fv, mut vf) = (Vec::new(), Vec::new());
+        reset_pairs::<f64>(&mut fv, ne);
+        reset_pairs::<f64>(&mut vf, ne);
+        for _ in 0..WARM_SWEEPS {
+            for e in 0..ne {
+                let m = compiled.vf_message(e, &fv, &[], &extras, &mut ev);
+                put(&mut vf, e, m);
+            }
+            for e in 0..ne {
+                let fi = compiled.edge_factor[e] as usize;
+                let (e0, e1) = (compiled.f_off[fi] as usize, compiled.f_off[fi + 1] as usize);
+                let local = &vf[2 * e0..2 * e1];
+                let new = compiled.factor_message_local::<false, f64>(fi, e - e0, local, &mut ev);
+                let slot = compiled.vslot[e] as usize;
+                let old = get_t(&fv, slot);
+                put(&mut fv, slot, damp(old, new, d));
+            }
+        }
+        for v in 0..compiled.num_vars() {
+            let (p_t, p_f) = compiled.var_product(v, usize::MAX, &fv, &[], &extras);
+            let expected = normalize(p_t, p_f, &mut ev);
+            let got = solved.prob(VarId(v as u32));
+            assert!((got - expected).abs() <= 1e-12, "var {v}: residual {got} vs dense {expected}");
         }
     }
 

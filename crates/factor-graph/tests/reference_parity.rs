@@ -316,3 +316,140 @@ fn residual_uses_fewer_updates_than_sweep_on_loopy_graphs() {
         assert!((residual.prob(x) - sweep.prob(x)).abs() < 1e-4, "{x}");
     }
 }
+
+/// One random factor over `scope` (arity 6–12 in the wide tests): either a
+/// two-valued `Factor::soft` table, or an arbitrary positive table with
+/// some zero rows.
+fn random_wide_factor(rng: &mut Rng, scope: Vec<VarId>) -> Factor {
+    let n = scope.len();
+    if rng.gen_bool(0.5) {
+        let h = 0.55 + 0.44 * rng.gen_f64();
+        let k = rng.gen_index(1..n);
+        let pivot = rng.gen_index(0..n);
+        Factor::soft(scope, h, move |x| x[pivot] || x.iter().filter(|b| **b).count() == k)
+    } else {
+        // Cells 0 and 2^n-1 stay positive, so every message lane keeps
+        // some mass.
+        let table: Vec<f64> = (0..1usize << n)
+            .map(|i| {
+                if i != 0 && i != (1 << n) - 1 && rng.gen_bool(0.3) {
+                    0.0
+                } else {
+                    0.05 + 0.95 * rng.gen_f64()
+                }
+            })
+            .collect();
+        Factor::from_fn(scope, move |x| {
+            table[x.iter().enumerate().map(|(j, &b)| usize::from(b) << j).sum::<usize>()]
+        })
+    }
+}
+
+/// A random factor tree of wide factors (at most 16 variables, so exact
+/// enumeration stays cheap): every new factor shares exactly one variable
+/// with the graph built so far. Scope positions are shuffled, so the shared
+/// variable sits at any bit of the table.
+fn random_wide_tree(rng: &mut Rng) -> FactorGraph {
+    const MAX_VARS: usize = 16;
+    let mut g = FactorGraph::new();
+    let mut vars: Vec<VarId> = Vec::new();
+    let first = rng.gen_index(6..13);
+    for _ in 0..first {
+        vars.push(g.add_var(format!("w{}", vars.len())));
+    }
+    let f = random_wide_factor(rng, vars.clone());
+    g.add_factor(f);
+    while vars.len() + 5 <= MAX_VARS && rng.gen_bool(0.7) {
+        let k = rng.gen_index(6..(MAX_VARS - vars.len() + 2).min(13));
+        let mut scope = vec![*rng.pick(&vars)];
+        for _ in 1..k {
+            let v = g.add_var(format!("w{}", vars.len()));
+            vars.push(v);
+            scope.push(v);
+        }
+        let at = rng.gen_index(0..k);
+        scope.swap(0, at);
+        let f = random_wide_factor(rng, scope);
+        g.add_factor(f);
+    }
+    for _ in 0..rng.gen_index(1..5) {
+        let v = *rng.pick(&vars);
+        g.add_factor(Factor::unary(v, 0.05 + 0.9 * rng.gen_f64()));
+    }
+    g
+}
+
+/// A random loopy graph of wide factors: random scopes over a shared pool
+/// of variables, so factors overlap in several variables at once.
+fn random_wide_loopy(rng: &mut Rng) -> FactorGraph {
+    let mut g = FactorGraph::new();
+    let n_vars = rng.gen_index(8..15);
+    let vars: Vec<VarId> = (0..n_vars).map(|i| g.add_var(format!("l{i}"))).collect();
+    for _ in 0..rng.gen_index(2..5) {
+        let k = rng.gen_index(6..n_vars.min(12) + 1);
+        let mut pool = vars.clone();
+        let mut scope = Vec::with_capacity(k);
+        for _ in 0..k {
+            scope.push(pool.swap_remove(rng.gen_index(0..pool.len())));
+        }
+        let f = random_wide_factor(rng, scope);
+        g.add_factor(f);
+    }
+    for _ in 0..rng.gen_index(1..6) {
+        let v = *rng.pick(&vars);
+        g.add_factor(Factor::unary(v, 0.05 + 0.9 * rng.gen_f64()));
+    }
+    g
+}
+
+#[test]
+fn residual_matches_exact_on_wide_factor_trees() {
+    prng::forall("residual-wide-trees", 24, |rng| {
+        let g = random_wide_tree(rng);
+        let opts = BpOptions {
+            max_iterations: 500,
+            tolerance: 1e-9,
+            damping: 0.0,
+            schedule: BpSchedule::Residual,
+            ..BpOptions::default()
+        };
+        let residual = g.solve(&opts);
+        assert!(residual.converged, "residual BP must converge on factor trees");
+        assert!(!residual.guards.any(), "positive tables must not clamp");
+        let exact = g.solve_exact();
+        for i in 0..g.num_vars() {
+            let v = VarId(i as u32);
+            let (r, e) = (residual.prob(v), exact.prob(v));
+            assert!((r - e).abs() < 1e-6, "var {i}: residual={r} exact={e}");
+        }
+    });
+}
+
+#[test]
+fn residual_agrees_with_sweep_on_wide_loopy_graphs() {
+    let converged = std::cell::Cell::new(0u32);
+    let cases = 40;
+    prng::forall("residual-wide-loopy", cases, |rng| {
+        let g = random_wide_loopy(rng);
+        let opts = BpOptions {
+            max_iterations: 500,
+            tolerance: 1e-9,
+            damping: *rng.pick(&[0.0, 0.3]),
+            ..BpOptions::default()
+        };
+        let sweep = g.solve(&opts);
+        let residual = g.solve(&BpOptions { schedule: BpSchedule::Residual, ..opts });
+        if !(sweep.converged && residual.converged) {
+            return;
+        }
+        converged.set(converged.get() + 1);
+        for (i, (s, r)) in sweep.as_slice().iter().zip(residual.as_slice()).enumerate() {
+            assert!((s - r).abs() < 1e-6, "var {i}: sweep={s} residual={r}");
+        }
+    });
+    assert!(
+        converged.get() * 2 >= cases,
+        "only {}/{cases} loopy cases converged under both schedules",
+        converged.get()
+    );
+}
