@@ -25,6 +25,21 @@ fast=0
 
 step() { printf '\n==> %s\n' "$*"; }
 
+# Fails the gate named $2 unless the `anek infer --outcomes` output in $1
+# holds an outcome table in which no method is `worklist-truncated`: a
+# byte-diff of truncated runs compares budget cut-offs, not inference.
+assert_drained() {
+  if ! grep -qx -- '--- outcomes ---' "$1"; then
+    echo "$2 failed: no outcome table in $1" >&2
+    exit 1
+  fi
+  if grep -q 'worklist-truncated' "$1"; then
+    echo "$2 failed: worklist-truncated methods (raise --max-iters):" >&2
+    grep 'worklist-truncated' "$1" >&2
+    exit 1
+  fi
+}
+
 step "cargo fmt --check"
 cargo fmt --all -- --check
 
@@ -40,17 +55,22 @@ step "cargo test"
 cargo test -q --workspace
 
 if [[ $fast -eq 0 ]]; then
-  step "inference determinism gate (threads 1 vs 4)"
+  step "inference determinism gate (threads 1 vs 4, drained worklist)"
   tmp="$(mktemp -d)"
   trap 'rm -rf "$tmp"' EXIT
   ./target/release/anek corpus "$tmp/det" --small 2>/dev/null
-  ./target/release/anek infer --threads 1 "$tmp"/det/*.java 2>/dev/null >"$tmp/specs.t1"
-  ./target/release/anek infer --threads 4 "$tmp"/det/*.java 2>/dev/null >"$tmp/specs.t4"
+  # 180 = 3 x the small corpus's 60 methods, the budget `table2` and the
+  # benchmark use: at the default 64 most methods end worklist-truncated.
+  ./target/release/anek infer --threads 1 --max-iters 180 --outcomes \
+    "$tmp"/det/*.java 2>/dev/null >"$tmp/specs.t1"
+  ./target/release/anek infer --threads 4 --max-iters 180 --outcomes \
+    "$tmp"/det/*.java 2>/dev/null >"$tmp/specs.t4"
   if ! diff -u "$tmp/specs.t1" "$tmp/specs.t4"; then
     echo "determinism gate failed: --threads 1 and --threads 4 inferred different specs" >&2
     exit 1
   fi
-  echo "determinism gate ok: identical specs for threads 1 and 4"
+  assert_drained "$tmp/specs.t1" "determinism gate"
+  echo "determinism gate ok: identical specs and outcomes for threads 1 and 4, none truncated"
 
   step "mixed-protocol determinism gate (all families, threads 1 vs 4)"
   # Same byte-diff over the registry-driven mixed corpus: every protocol
@@ -67,9 +87,9 @@ if [[ $fast -eq 0 ]]; then
     echo "mixed-protocol determinism gate failed: no Lock-family specs in the output" >&2
     exit 1
   fi
-  # The residual schedule runs its own message kernel on the wide WEAKEN
-  # factors (per-factor elimination with a cached result), so it gets the
-  # same byte-diff.
+  # The residual schedule serves factor messages from its own per-factor
+  # cache and eliminates the wide WEAKEN factors instead of walking their
+  # tables, so it gets the same byte-diff.
   ./target/release/anek infer --protocols all --bp-schedule residual --threads 1 --max-iters 9360 "$tmp"/mixed/*.java 2>/dev/null >"$tmp/mixed.r1"
   ./target/release/anek infer --protocols all --bp-schedule residual --threads 4 --max-iters 9360 "$tmp"/mixed/*.java 2>/dev/null >"$tmp/mixed.r4"
   if ! diff -u "$tmp/mixed.r1" "$tmp/mixed.r4"; then
@@ -198,11 +218,12 @@ EOF
 
   step "trace determinism gate (--trace-json: threads 1 vs 4, sweep vs residual)"
   # The execution section is the only thread-dependent line; strip it and
-  # the rest of the artifact must byte-match across thread counts.
-  ./target/release/anek infer --threads 1 --trace-json "$tmp/trace.t1.json" \
-    "$tmp"/det/*.java 2>/dev/null >"$tmp/trace.specs.sweep"
-  ./target/release/anek infer --threads 4 --trace-json "$tmp/trace.t4.json" \
-    "$tmp"/det/*.java 2>/dev/null >/dev/null
+  # the rest of the artifact must byte-match across thread counts. Drained
+  # runs, as in the determinism gate.
+  ./target/release/anek infer --threads 1 --max-iters 180 --outcomes \
+    --trace-json "$tmp/trace.t1.json" "$tmp"/det/*.java 2>/dev/null >"$tmp/trace.out.sweep"
+  ./target/release/anek infer --threads 4 --max-iters 180 --outcomes \
+    --trace-json "$tmp/trace.t4.json" "$tmp"/det/*.java 2>/dev/null >/dev/null
   grep -v '"section":"execution"' "$tmp/trace.t1.json" >"$tmp/trace.t1.det"
   grep -v '"section":"execution"' "$tmp/trace.t4.json" >"$tmp/trace.t4.det"
   if ! diff -u "$tmp/trace.t1.det" "$tmp/trace.t4.det"; then
@@ -213,8 +234,14 @@ EOF
   # class — whenever the schedules agree on the printed specs it must
   # byte-match; the deterministic section legitimately differs (update
   # counts are schedule-shaped).
-  ./target/release/anek infer --threads 1 --bp-schedule residual \
-    --trace-json "$tmp/trace.res.json" "$tmp"/det/*.java 2>/dev/null >"$tmp/trace.specs.res"
+  ./target/release/anek infer --threads 1 --max-iters 180 --outcomes --bp-schedule residual \
+    --trace-json "$tmp/trace.res.json" "$tmp"/det/*.java 2>/dev/null >"$tmp/trace.out.res"
+  assert_drained "$tmp/trace.out.sweep" "trace gate"
+  assert_drained "$tmp/trace.out.res" "trace gate"
+  # Compare the printed specs only: outcome rows carry schedule-shaped
+  # iteration counts.
+  sed '/^--- outcomes ---$/,$d' "$tmp/trace.out.sweep" >"$tmp/trace.specs.sweep"
+  sed '/^--- outcomes ---$/,$d' "$tmp/trace.out.res" >"$tmp/trace.specs.res"
   if cmp -s "$tmp/trace.specs.sweep" "$tmp/trace.specs.res"; then
     if ! diff -u <(head -1 "$tmp/trace.t1.json") <(head -1 "$tmp/trace.res.json"); then
       echo "trace gate failed: schedules agree on specs but trace spec sections differ" >&2

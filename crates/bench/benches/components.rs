@@ -55,6 +55,28 @@ fn bench_bp(b: &mut Bench) {
     let residual_opts = BpOptions { schedule: BpSchedule::Residual, ..BpOptions::default() };
     b.bench_function("bp_30var_cycle_residual", || black_box(&compiled).solve(&residual_opts));
 
+    // Every message of one factor from one table walk: a soft one-hot
+    // table (the model's exactly-one selectors) and an arbitrary one.
+    for n in [3usize, 5, 10] {
+        let mut g = FactorGraph::new();
+        let scope: Vec<_> = (0..n).map(|i| g.add_var(format!("v{i}"))).collect();
+        g.add_factor(Factor::soft(scope.clone(), 0.9, |a| a.iter().filter(|b| **b).count() == 1));
+        g.add_factor(Factor::from_fn(scope, |a| {
+            let idx = a.iter().rev().fold(0u64, |acc, &bit| 2 * acc + u64::from(bit));
+            0.05 + (idx.wrapping_mul(2_654_435_761) % 1000) as f64 / 1000.0
+        }));
+        let compiled = CompiledGraph::compile(&g);
+        let incoming: Vec<f64> =
+            (0..n).flat_map(|j| [0.1 * j as f64, 1.0 - 0.1 * j as f64]).collect();
+        let mut out = vec![0.0; 2 * n];
+        b.bench_function(&format!("bp_factor_messages_arity{n}"), || {
+            for factor in 0..2 {
+                black_box(&compiled).factor_messages_f64(factor, black_box(&incoming), &mut out);
+            }
+            out[0]
+        });
+    }
+
     let mut g = FactorGraph::new();
     let vars: Vec<_> = (0..16).map(|i| g.add_var(format!("v{i}"))).collect();
     for w in vars.windows(2) {

@@ -27,9 +27,9 @@
 //!
 //! A single core parameterized by the sum/max semiring serves both marginal
 //! ([`CompiledGraph::solve`]) and MAP ([`CompiledGraph::solve_map`])
-//! inference, with specialized paths for unary and pairwise factors that
-//! skip the generic `2^n` table walk, and — under the residual schedule
-//! only — an elimination path for wide factors (see below).
+//! inference. It computes every message of a factor in one pass (see
+//! below), with specialized paths for unary and pairwise factors and —
+//! under the residual schedule only — an elimination path for wide factors.
 //!
 //! Two message schedules are provided (see [`BpSchedule`]):
 //!
@@ -49,7 +49,7 @@
 //! Callers that solve many graphs in a row should reuse a [`Scratch`]
 //! across solves ([`CompiledGraph::solve_stamped_scratch`]): all working
 //! arrays — messages, candidates, residuals, the bucket queue, the
-//! wide-factor message cache — are then recycled instead of reallocated
+//! factor-message cache — are then recycled instead of reallocated
 //! per solve.
 //!
 //! ## The bucketed residual schedule
@@ -90,26 +90,40 @@
 //! resulting marginals are pinned by the `figure3_residual` golden
 //! fixture.
 //!
-//! ## Wide-factor messages under the residual schedule
+//! ## Every message of a factor in one pass
 //!
-//! A batch that changes one variable→factor message of an arity-`n` factor
-//! invalidates the candidates of the other `n − 1` edges of that factor.
-//! Walking the table once per edge costs `n · 2^n` cells, each a product
-//! of `n − 1` messages. For a factor of arity ≥ [`WIDE_MIN_ARITY`] the
-//! residual schedule instead runs one divide-and-conquer variable
-//! elimination ([`eliminate`]) that yields the raw `(t, f)` message of
-//! *every* position in about `4 · 2^n` branch-free multiply-adds, under
-//! either semiring and whatever the table holds. The results wait in a
-//! per-factor cache inside [`Scratch`] until one of the factor's
-//! variable→factor messages is rewritten, and each edge normalizes its own
-//! entry only when it consumes it — so guard events and update counts are
-//! exactly those of one message walk per candidate. Elimination sums in a
-//! different order than the dense walk (the `figure3_residual` fixture
-//! pins its bits); the sweep schedule keeps the dense walk, frozen by the
-//! historical fixture, and factors below the arity floor keep it under
-//! both schedules.
+//! A factor of arity `n` sends one message per scope position, and walking
+//! its table once per position costs `n · 2^n` cells of `n − 1` products
+//! each, with a branch per operand. [`CompiledGraph::factor_messages`]
+//! instead walks the table once and writes the raw `(t, f)` message of
+//! every position. In each non-zero cell it picks every position's operand
+//! by the cell's index bit (no branch), keeps a running prefix product
+//! `pot · v₀ · … · v_{pos−1}` and finishes it per position over the
+//! positions above, so each position's product is the same left fold, in
+//! the same order, as a walk for that position alone; each position
+//! accumulates in ascending cell order under either semiring. The result is
+//! bit-identical to the historical per-edge walk, which the tests keep as
+//! the oracle. The arity is a constant inside the cell loop, so its
+//! per-cell loops unroll.
+//!
+//! * **Sweep** calls it once per factor in the factor pass and normalizes
+//!   each position in order — the bit-frozen historical path, for every
+//!   arity.
+//! * **Residual** keeps the results in a per-factor cache inside
+//!   [`Scratch`] until one of the factor's variable→factor messages is
+//!   rewritten: a batch that changes one such message of an arity-`n`
+//!   factor invalidates the candidates of its other `n − 1` edges, and
+//!   they now share one pass. Each edge normalizes its own entry only when
+//!   it consumes it, so guard events and update counts are exactly those
+//!   of one message walk per candidate. For a factor of arity ≥
+//!   [`WIDE_MIN_ARITY`] the pass is one divide-and-conquer variable
+//!   elimination ([`eliminate`]) instead, about `4 · 2^n` branch-free
+//!   multiply-adds for all `n` messages. Elimination sums in a different
+//!   order than the walk (the `figure3_residual` fixture pins its bits);
+//!   narrower factors, the symmetric one-hot selectors among them, keep the
+//!   walk's bits under both schedules.
 
-use crate::factor::VarId;
+use crate::factor::{VarId, MAX_SCOPE};
 use crate::graph::{BpOptions, BpPrecision, BpSchedule, FactorGraph, GuardEvents, Marginals};
 use std::collections::VecDeque;
 
@@ -194,24 +208,28 @@ pub struct CompiledGraph {
 }
 
 /// Arity floor for the residual schedule's wide-factor elimination path
-/// ([`CompiledGraph::wide_messages`]). Narrow factors gain little, and
-/// keeping them on the dense walk means the symmetric one-hot selector
-/// factors (arity ≤ 5) retain the exact historical accumulation — the
-/// order the batch scheduler's symmetric-fixed-point guarantee was
-/// validated against.
+/// ([`CompiledGraph::wide_messages`]). Narrower factors keep the table walk
+/// of [`CompiledGraph::factor_messages`] under both schedules, so the
+/// symmetric one-hot selector factors (arity ≤ 5) retain the exact
+/// historical accumulation — the order the batch scheduler's
+/// symmetric-fixed-point guarantee was validated against. Lowering it
+/// changes bits.
 const WIDE_MIN_ARITY: usize = 6;
 
-/// The residual schedule's per-factor cache of raw wide-factor messages.
+/// The residual schedule's per-factor cache of raw factor→variable
+/// messages.
 ///
-/// One elimination pass yields the raw `(t, f)` message of every scope
-/// position of a factor at once; the cache keeps them until a
-/// variable→factor message of that factor is rewritten. Factor `fi`'s
-/// entries are valid iff `stamp[fi] == gen`: rewriting every `vf` message
-/// bumps `gen`, rewriting one of them resets its factor's stamp. Messages
-/// are normalized (and guard events counted) only when an edge consumes
-/// its entry, so the cache is invisible in every count and every bit.
+/// One pass over a factor ([`CompiledGraph::factor_messages`], or
+/// [`CompiledGraph::wide_messages`] from [`WIDE_MIN_ARITY`] up) yields the
+/// raw `(t, f)` message of every scope position at once; the cache keeps
+/// them until a variable→factor message of that factor is rewritten.
+/// Factor `fi`'s entries are valid iff `stamp[fi] == gen`: rewriting every
+/// `vf` message bumps `gen`, rewriting one of them resets its factor's
+/// stamp. Messages are normalized (and guard events counted) only when an
+/// edge consumes its entry, so the cache is invisible in every count and
+/// every bit.
 #[derive(Debug, Default)]
-struct WideCache {
+struct MsgCache {
     /// Raw `(t, f)` message per edge, factor-major.
     raw: Vec<f64>,
     /// Per factor: the generation its `raw` entries were computed at.
@@ -222,7 +240,7 @@ struct WideCache {
     work: Vec<f64>,
 }
 
-impl WideCache {
+impl MsgCache {
     /// Empties the cache for a solve over `ne` edges and `nf` factors.
     fn reset(&mut self, ne: usize, nf: usize) {
         self.raw.clear();
@@ -315,9 +333,39 @@ fn eliminate<const MAX: bool, S: MsgElem>(
     eliminate::<MAX, S>(&hi[..1 << (k - mid)], &local[2 * mid..], out_hi, rest);
 }
 
+/// The cell loop of [`CompiledGraph::factor_messages`] for arity `N ≥ 3`:
+/// `sel[2j + b]` is position `j`'s operand in a cell whose bit `j` is `b`,
+/// and `acc[2j + b]` accumulates position `j`'s message over those cells,
+/// from `0.0` in ascending cell order.
+///
+/// Each non-zero cell gathers its `N` operands by index bit, then keeps a
+/// running prefix `pot · v₀ · … · v_{pos−1}` and finishes it per position
+/// over the positions above — the same left fold, skipping `v_pos`, that a
+/// walk for that position alone computes. Zero-potential cells are
+/// skipped, as that walk skipped them.
+#[inline(always)]
+fn walk_cells<const MAX: bool, const N: usize>(table: &[f64], sel: &[f64], acc: &mut [f64]) {
+    for (idx, &pot) in table.iter().enumerate() {
+        if pot == 0.0 {
+            continue;
+        }
+        let v: [f64; N] = std::array::from_fn(|o| sel[2 * o + (idx >> o & 1)]);
+        let mut pre = pot;
+        for pos in 0..N {
+            let mut w = pre;
+            for &x in &v[pos + 1..] {
+                w *= x;
+            }
+            let k = 2 * pos + (idx >> pos & 1);
+            acc[k] = if MAX { acc[k].max(w) } else { acc[k] + w };
+            pre *= v[pos];
+        }
+    }
+}
+
 /// Reusable per-solve working memory: message pair arrays (one pool per
 /// stored precision), the stamped-extra index, and the residual schedule's
-/// candidate/bucket state and wide-factor message cache.
+/// candidate/bucket state and factor-message cache.
 ///
 /// A `Scratch` may be reused across solves of *different* graphs — every
 /// buffer is (re)sized and reinitialized at the start of each solve, so a
@@ -350,7 +398,7 @@ pub struct Scratch {
     touched: Vec<u32>,
     vmark: Vec<u8>,
     emark: Vec<u8>,
-    wide: WideCache,
+    msgs: MsgCache,
 }
 
 impl Scratch {
@@ -719,13 +767,16 @@ impl CompiledGraph {
                 }
             }
 
-            // Factor → variable messages.
+            // Factor → variable messages, every position of a factor from
+            // one table walk.
+            let mut raw = [0.0f64; 2 * MAX_SCOPE];
             for fi in 0..nf {
                 let e0 = self.f_off[fi] as usize;
                 let e1 = self.f_off[fi + 1] as usize;
+                let raw = &mut raw[..2 * (e1 - e0)];
+                self.factor_messages::<MAX, S>(fi, &vf[2 * e0..2 * e1], raw);
                 for pos in 0..(e1 - e0) {
-                    let new =
-                        self.factor_message_local::<MAX, S>(fi, pos, &vf[2 * e0..2 * e1], &mut ev);
+                    let new = normalize(raw[2 * pos], raw[2 * pos + 1], &mut ev);
                     let slot = self.vslot[e0 + pos] as usize;
                     let old = get_t(&fv, slot);
                     put(&mut fv, slot, damp(old, new, d));
@@ -794,7 +845,7 @@ impl CompiledGraph {
     /// The damped candidate update for factor→variable message `e`, read
     /// from a cache of current variable→factor messages (`vf` pair slot `o`
     /// must hold [`CompiledGraph::vf_message`] of `o` for every edge `o` of
-    /// `e`'s factor, and `wide` must have been invalidated for every factor
+    /// `e`'s factor, and `cache` must have been invalidated for every factor
     /// whose `vf` slots changed since it was filled).
     fn candidate_cached<const MAX: bool, S: MsgElem>(
         &self,
@@ -802,29 +853,25 @@ impl CompiledGraph {
         fv: &[S],
         vf: &[S],
         d: f64,
-        wide: &mut WideCache,
+        cache: &mut MsgCache,
         ev: &mut GuardEvents,
     ) -> f64 {
         let fi = self.edge_factor[e] as usize;
-        let e0 = self.f_off[fi] as usize;
-        let e1 = self.f_off[fi + 1] as usize;
-        let local = &vf[2 * e0..2 * e1];
-        // Wide factors share one elimination pass among all their edges;
-        // everything else replicates the sweep kernel exactly.
-        let new = if e1 - e0 >= WIDE_MIN_ARITY {
-            if wide.stamp[fi] != wide.gen {
-                self.wide_messages::<MAX, S>(
-                    fi,
-                    local,
-                    &mut wide.raw[2 * e0..2 * e1],
-                    &mut wide.work,
-                );
-                wide.stamp[fi] = wide.gen;
+        if cache.stamp[fi] != cache.gen {
+            let e0 = self.f_off[fi] as usize;
+            let e1 = self.f_off[fi + 1] as usize;
+            let local = &vf[2 * e0..2 * e1];
+            let raw = &mut cache.raw[2 * e0..2 * e1];
+            // Wide factors take elimination; everything else the sweep
+            // kernel's walk, bit for bit.
+            if e1 - e0 >= WIDE_MIN_ARITY {
+                self.wide_messages::<MAX, S>(fi, local, raw, &mut cache.work);
+            } else {
+                self.factor_messages::<MAX, S>(fi, local, raw);
             }
-            normalize(wide.raw[2 * e], wide.raw[2 * e + 1], ev)
-        } else {
-            self.factor_message_local::<MAX, S>(fi, e - e0, local, ev)
-        };
+            cache.stamp[fi] = cache.gen;
+        }
+        let new = normalize(cache.raw[2 * e], cache.raw[2 * e + 1], ev);
         damp(get_t(fv, self.vslot[e] as usize), new, d)
     }
 
@@ -832,9 +879,9 @@ impl CompiledGraph {
     /// every scope position, as `(t, f)` pairs in `out`, by one
     /// [`eliminate`] pass over its table.
     ///
-    /// Accumulation is deterministic but *not* bit-identical to the dense
-    /// walk of [`CompiledGraph::factor_message_local`], which is why only
-    /// the residual schedule dispatches here.
+    /// Accumulation is deterministic but sums in a different order than
+    /// [`CompiledGraph::factor_messages`], which is why only the residual
+    /// schedule dispatches here.
     fn wide_messages<const MAX: bool, S: MsgElem>(
         &self,
         fi: usize,
@@ -850,66 +897,71 @@ impl CompiledGraph {
         eliminate::<MAX, S>(table, local, out, work);
     }
 
-    /// One factor→variable message for factor `fi`, target scope position
-    /// `pos`, reading the incoming variable→factor messages from a
-    /// factor-local *pair* slice (pair `opos` for scope position `opos`).
+    /// The raw (unnormalized) factor→variable messages of factor `fi` for
+    /// every scope position, as `(t, f)` pairs in `out`, from one walk over
+    /// its table. `local` holds the incoming variable→factor pairs (pair `j`
+    /// for scope position `j`); `MAX` selects max-product, otherwise
+    /// sum-product.
     ///
-    /// `MAX` selects max-product; otherwise sum-product. The arithmetic
-    /// replicates the pre-arena solver exactly: accumulation in ascending
-    /// table-index order, `z > 0` normalization, and unary/pairwise fast
-    /// paths that are operation-for-operation equal to the generic walk
-    /// (zero-potential rows contribute exactly `+0.0` / lose every `max`,
-    /// so skipping them never changes a bit).
-    #[inline]
-    fn factor_message_local<const MAX: bool, S: MsgElem>(
+    /// Every message is bit-identical to a walk of the table for that
+    /// position alone, the historical per-edge kernel (see [`walk_cells`]).
+    /// Arities 1 and 2 keep that kernel's fast paths: they are faster than
+    /// the walk, and their arithmetic differs from it on NaN and `-0.0`
+    /// potentials (a NaN unary row must clamp as non-finite).
+    fn factor_messages<const MAX: bool, S: MsgElem>(
         &self,
         fi: usize,
-        pos: usize,
         local: &[S],
-        ev: &mut GuardEvents,
-    ) -> f64 {
+        out: &mut [f64],
+    ) {
         let n = local.len() / 2;
         let table = &self.tables[self.t_off[fi] as usize..][..1 << n];
+        // `x` and `1 - x` of each incoming pair.
+        let m = |j: usize| (local[2 * j].dec(), local[2 * j + 1].dec());
         match n {
-            1 => normalize(table[1], table[0], ev),
+            1 => {
+                out[0] = table[1];
+                out[1] = table[0];
+            }
             2 => {
-                let o = 1 - pos;
-                let m = local[2 * o].dec();
-                let om = local[2 * o + 1].dec();
-                let (t_lo, t_hi, f_lo, f_hi) = if pos == 0 {
-                    (table[1] * om, table[3] * m, table[0] * om, table[2] * m)
-                } else {
-                    (table[2] * om, table[3] * m, table[0] * om, table[1] * m)
-                };
-                let (p_t, p_f) = if MAX {
-                    (0.0f64.max(t_lo).max(t_hi), 0.0f64.max(f_lo).max(f_hi))
-                } else {
-                    (t_lo + t_hi, f_lo + f_hi)
-                };
-                normalize(p_t, p_f, ev)
+                let (m0, om0) = m(0);
+                let (m1, om1) = m(1);
+                let raw = |lo: f64, hi: f64| if MAX { 0.0f64.max(lo).max(hi) } else { lo + hi };
+                out[0] = raw(table[1] * om1, table[3] * m1);
+                out[1] = raw(table[0] * om1, table[2] * m1);
+                out[2] = raw(table[2] * om0, table[3] * m0);
+                out[3] = raw(table[0] * om0, table[1] * m0);
             }
             _ => {
-                let mut acc_t = 0.0f64;
-                let mut acc_f = 0.0f64;
-                for (idx, &pot) in table.iter().enumerate() {
-                    if pot == 0.0 {
-                        continue;
-                    }
-                    let mut w = pot;
-                    for opos in 0..n {
-                        if opos == pos {
-                            continue;
-                        }
-                        let bit = idx & (1 << opos) != 0;
-                        w *= if bit { local[2 * opos].dec() } else { local[2 * opos + 1].dec() };
-                    }
-                    if idx & (1 << pos) != 0 {
-                        acc_t = if MAX { acc_t.max(w) } else { acc_t + w };
-                    } else {
-                        acc_f = if MAX { acc_f.max(w) } else { acc_f + w };
-                    }
+                let mut sel = [0.0f64; 2 * MAX_SCOPE];
+                for j in 0..n {
+                    (sel[2 * j + 1], sel[2 * j]) = m(j);
                 }
-                normalize(acc_t, acc_f, ev)
+                let mut acc = [0.0f64; 2 * MAX_SCOPE];
+                let (sel, a) = (&sel, &mut acc);
+                // The arity is a constant inside the walk, so its per-cell
+                // loops unroll.
+                match n {
+                    3 => walk_cells::<MAX, 3>(table, sel, a),
+                    4 => walk_cells::<MAX, 4>(table, sel, a),
+                    5 => walk_cells::<MAX, 5>(table, sel, a),
+                    6 => walk_cells::<MAX, 6>(table, sel, a),
+                    7 => walk_cells::<MAX, 7>(table, sel, a),
+                    8 => walk_cells::<MAX, 8>(table, sel, a),
+                    9 => walk_cells::<MAX, 9>(table, sel, a),
+                    10 => walk_cells::<MAX, 10>(table, sel, a),
+                    11 => walk_cells::<MAX, 11>(table, sel, a),
+                    12 => walk_cells::<MAX, 12>(table, sel, a),
+                    13 => walk_cells::<MAX, 13>(table, sel, a),
+                    14 => walk_cells::<MAX, 14>(table, sel, a),
+                    15 => walk_cells::<MAX, 15>(table, sel, a),
+                    16 => walk_cells::<MAX, 16>(table, sel, a),
+                    _ => panic!("factor arity {n} exceeds {MAX_SCOPE}"),
+                }
+                for j in 0..n {
+                    out[2 * j] = acc[2 * j + 1];
+                    out[2 * j + 1] = acc[2 * j];
+                }
             }
         }
     }
@@ -958,11 +1010,11 @@ impl CompiledGraph {
             touched,
             vmark,
             emark,
-            wide,
+            msgs,
             ..
         } = scratch;
         let extras = ExtraIndex::build(self.n_vars, extras_in, ps, x_off, x_idx);
-        wide.reset(ne, nf);
+        msgs.reset(ne, nf);
 
         let budget = opts
             .max_iterations
@@ -994,12 +1046,12 @@ impl CompiledGraph {
                 let m = self.vf_message(e, &fv, &xm, &extras, &mut ev);
                 put(&mut vf, e, m);
             }
-            wide.bump();
+            msgs.bump();
             // In-place is still Jacobi here: the factor message reads only
             // `vf`, and each edge's `fv` slot is read (for damping) only by
             // its own candidate.
             for e in 0..ne {
-                let c = self.candidate_cached::<MAX, S>(e, &fv, &vf, d, wide, &mut ev);
+                let c = self.candidate_cached::<MAX, S>(e, &fv, &vf, d, msgs, &mut ev);
                 put(&mut fv, self.vslot[e] as usize, c);
             }
             updates += ne;
@@ -1014,7 +1066,7 @@ impl CompiledGraph {
             let m = self.vf_message(e, &fv, &xm, &extras, &mut ev);
             put(&mut vf, e, m);
         }
-        wide.bump();
+        msgs.bump();
         cand.clear();
         cand.resize(ne, 0.0);
         resid.clear();
@@ -1034,7 +1086,7 @@ impl CompiledGraph {
             q.clear();
         }
         for e in 0..ne {
-            cand[e] = self.candidate_cached::<MAX, S>(e, &fv, &vf, d, wide, &mut ev);
+            cand[e] = self.candidate_cached::<MAX, S>(e, &fv, &vf, d, msgs, &mut ev);
             resid[e] = (cand[e] - get_t(&fv, self.vslot[e] as usize)).abs();
             if resid[e] >= opts.tolerance {
                 let b = bucket_of(resid[e]);
@@ -1102,7 +1154,7 @@ impl CompiledGraph {
                     let m = self.vf_message(o as usize, &fv, &xm, &extras, &mut ev);
                     if S::enc(m).dec() != get_t(&vf, o as usize) {
                         put(&mut vf, o as usize, m);
-                        wide.invalidate(self.edge_factor[o as usize] as usize);
+                        msgs.invalidate(self.edge_factor[o as usize] as usize);
                         changed_vf.push(o);
                     }
                 }
@@ -1130,7 +1182,7 @@ impl CompiledGraph {
             }
             for &e3 in touched.iter() {
                 let eu = e3 as usize;
-                cand[eu] = self.candidate_cached::<MAX, S>(eu, &fv, &vf, d, wide, &mut ev);
+                cand[eu] = self.candidate_cached::<MAX, S>(eu, &fv, &vf, d, msgs, &mut ev);
                 let r = (cand[eu] - get_t(&fv, self.vslot[eu] as usize)).abs();
                 resid[eu] = r;
                 if r >= opts.tolerance {
@@ -1225,6 +1277,16 @@ impl CompiledGraph {
         self.edge_var[e0..e1].iter().map(|&v| VarId(v)).collect()
     }
 
+    /// The raw sum-product factor→variable messages of factor `factor` for
+    /// every scope position, as `(t, f)` pairs in `out`, given its incoming
+    /// variable→factor messages as `(p, 1 - p)` pairs in `incoming` (scope
+    /// order). This is one factor of the sweep schedule's factor pass,
+    /// exposed so micro-benchmarks can time it alone.
+    #[doc(hidden)]
+    pub fn factor_messages_f64(&self, factor: u32, incoming: &[f64], out: &mut [f64]) {
+        self.factor_messages::<false, f64>(factor as usize, incoming, out);
+    }
+
     fn belief_terms_from<S: MsgElem>(
         &self,
         v: usize,
@@ -1294,6 +1356,65 @@ mod tests {
         assert_eq!(bucket_of(0.0), NUM_BUCKETS - 1);
     }
 
+    /// The historical per-edge kernel, kept as the oracle
+    /// [`CompiledGraph::factor_messages`] must match bit for bit: one
+    /// factor→variable message of factor `fi` for target scope position
+    /// `pos`, walking the whole table for that position alone
+    /// (accumulation in ascending table-index order, unary/pairwise fast
+    /// paths, zero-potential cells skipped), then normalized.
+    fn per_edge_walk<const MAX: bool, S: MsgElem>(
+        g: &CompiledGraph,
+        fi: usize,
+        pos: usize,
+        local: &[S],
+        ev: &mut GuardEvents,
+    ) -> f64 {
+        let n = local.len() / 2;
+        let table = &g.tables[g.t_off[fi] as usize..][..1 << n];
+        match n {
+            1 => normalize(table[1], table[0], ev),
+            2 => {
+                let o = 1 - pos;
+                let m = local[2 * o].dec();
+                let om = local[2 * o + 1].dec();
+                let (t_lo, t_hi, f_lo, f_hi) = if pos == 0 {
+                    (table[1] * om, table[3] * m, table[0] * om, table[2] * m)
+                } else {
+                    (table[2] * om, table[3] * m, table[0] * om, table[1] * m)
+                };
+                let (p_t, p_f) = if MAX {
+                    (0.0f64.max(t_lo).max(t_hi), 0.0f64.max(f_lo).max(f_hi))
+                } else {
+                    (t_lo + t_hi, f_lo + f_hi)
+                };
+                normalize(p_t, p_f, ev)
+            }
+            _ => {
+                let mut acc_t = 0.0f64;
+                let mut acc_f = 0.0f64;
+                for (idx, &pot) in table.iter().enumerate() {
+                    if pot == 0.0 {
+                        continue;
+                    }
+                    let mut w = pot;
+                    for opos in 0..n {
+                        if opos == pos {
+                            continue;
+                        }
+                        let bit = idx & (1 << opos) != 0;
+                        w *= if bit { local[2 * opos].dec() } else { local[2 * opos + 1].dec() };
+                    }
+                    if idx & (1 << pos) != 0 {
+                        acc_t = if MAX { acc_t.max(w) } else { acc_t + w };
+                    } else {
+                        acc_f = if MAX { acc_f.max(w) } else { acc_f + w };
+                    }
+                }
+                normalize(acc_t, acc_f, ev)
+            }
+        }
+    }
+
     fn loopy_fixture() -> FactorGraph {
         let mut g = FactorGraph::new();
         let xs: Vec<_> = (0..6).map(|i| g.add_var(format!("x{i}"))).collect();
@@ -1305,6 +1426,12 @@ mod tests {
             g.add_factor(Factor::soft(vec![a, b], 0.8, |v| v[0] == v[1]));
         }
         g.add_factor(Factor::soft(xs[..3].to_vec(), 0.9, |a| {
+            a.iter().filter(|b| **b).count() == 1
+        }));
+        // An arity-5 one-hot selector like the model's exactly-one-kind
+        // factors, so residual solves also serve narrow factors from the
+        // per-factor message cache.
+        g.add_factor(Factor::soft(xs[1..].to_vec(), 0.85, |a| {
             a.iter().filter(|b| **b).count() == 1
         }));
         // One wide factor, so residual solves run the elimination path and
@@ -1340,7 +1467,7 @@ mod tests {
     }
 
     /// Checks [`CompiledGraph::wide_messages`] on factor 0 of `compiled`
-    /// against one dense walk per scope position.
+    /// against the per-edge walk of every scope position.
     fn assert_elimination_matches_dense<const MAX: bool>(compiled: &CompiledGraph, local: &[f64]) {
         let n = local.len() / 2;
         let mut raw = vec![0.0; 2 * n];
@@ -1348,7 +1475,7 @@ mod tests {
         compiled.wide_messages::<MAX, f64>(0, local, &mut raw, &mut work);
         let mut ev = GuardEvents::default();
         for pos in 0..n {
-            let dense = compiled.factor_message_local::<MAX, f64>(0, pos, local, &mut ev);
+            let dense = per_edge_walk::<MAX, f64>(compiled, 0, pos, local, &mut ev);
             let elim = normalize(raw[2 * pos], raw[2 * pos + 1], &mut ev);
             assert!(
                 (elim - dense).abs() <= 1e-12 * dense.abs().max(elim.abs()),
@@ -1390,6 +1517,88 @@ mod tests {
         });
     }
 
+    /// Normalizes every message [`CompiledGraph::factor_messages`] yields
+    /// for factor 0 of `compiled` and compares each, bit for bit and with
+    /// equal guard counts, against the per-edge walk of that position.
+    fn assert_factor_messages_match_walk<const MAX: bool, S: MsgElem>(
+        compiled: &CompiledGraph,
+        ms: &[f64],
+    ) {
+        let n = ms.len();
+        let mut local = Vec::new();
+        reset_pairs::<S>(&mut local, n);
+        for (j, &m) in ms.iter().enumerate() {
+            put(&mut local, j, m);
+        }
+        let mut raw = vec![0.0; 2 * n];
+        compiled.factor_messages::<MAX, S>(0, &local, &mut raw);
+        let (mut ev_one, mut ev_walk) = (GuardEvents::default(), GuardEvents::default());
+        for pos in 0..n {
+            let one = normalize(raw[2 * pos], raw[2 * pos + 1], &mut ev_one);
+            let walk = per_edge_walk::<MAX, S>(compiled, 0, pos, &local, &mut ev_walk);
+            assert_eq!(
+                one.to_bits(),
+                walk.to_bits(),
+                "max={MAX} arity {n} pos {pos}: one pass {one:e} vs per-edge walk {walk:e}"
+            );
+        }
+        assert_eq!(ev_one, ev_walk, "max={MAX} arity {n}: guard events differ");
+    }
+
+    #[test]
+    fn factor_messages_match_per_edge_walk_bitwise() {
+        prng::forall("factor-messages-bitwise", 400, |rng| {
+            let n = rng.gen_index(1..13);
+            let mut g = FactorGraph::new();
+            let scope: Vec<_> = (0..n).map(|i| g.add_var(format!("w{i}"))).collect();
+            match rng.gen_index(0..3) {
+                0 => {
+                    // Two-valued, as `Factor::soft` builds them.
+                    let h = 0.01 + 0.98 * rng.gen_f64();
+                    let k = rng.gen_index(0..n + 1);
+                    g.add_factor(Factor::soft(scope, h, move |a| {
+                        a.iter().filter(|b| **b).count() == k
+                    }));
+                }
+                1 => {
+                    // Arbitrary values: zero, negative-zero and poisoned
+                    // (NaN, ±inf) cells among positive ones.
+                    let special = [0.0, -0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+                    let table: Vec<f64> = (0..1usize << n)
+                        .map(|_| match rng.gen_index(0..10) {
+                            0..=2 => 0.0,
+                            3 => *rng.pick(&special),
+                            _ => rng.gen_f64() * 10f64.powi(rng.gen_index(0..9) as i32 - 4),
+                        })
+                        .collect();
+                    g.add_factor(Factor::from_raw_parts(scope, table));
+                }
+                _ => {
+                    // Zero mass on one side of some position, or everywhere.
+                    let j = rng.gen_index(0..n);
+                    let all = rng.gen_bool(0.3);
+                    let table: Vec<f64> = (0..1usize << n)
+                        .map(|i| if all || i >> j & 1 == 1 { 0.0 } else { 0.1 + rng.gen_f64() })
+                        .collect();
+                    g.add_factor(Factor::from_raw_parts(scope, table));
+                }
+            }
+            let compiled = CompiledGraph::compile(&g);
+            // Incoming messages, exact 0 and 1 included.
+            let ms: Vec<f64> = (0..n)
+                .map(|_| match rng.gen_index(0..6) {
+                    0 => 0.0,
+                    1 => 1.0,
+                    _ => rng.gen_f64(),
+                })
+                .collect();
+            assert_factor_messages_match_walk::<false, f64>(&compiled, &ms);
+            assert_factor_messages_match_walk::<true, f64>(&compiled, &ms);
+            assert_factor_messages_match_walk::<false, f32>(&compiled, &ms);
+            assert_factor_messages_match_walk::<true, f32>(&compiled, &ms);
+        });
+    }
+
     #[test]
     fn residual_warm_sweeps_match_dense_jacobi_sweeps() {
         // With `max_iterations: 2` the residual solve stops right after its
@@ -1424,7 +1633,7 @@ mod tests {
                 let fi = compiled.edge_factor[e] as usize;
                 let (e0, e1) = (compiled.f_off[fi] as usize, compiled.f_off[fi + 1] as usize);
                 let local = &vf[2 * e0..2 * e1];
-                let new = compiled.factor_message_local::<false, f64>(fi, e - e0, local, &mut ev);
+                let new = per_edge_walk::<false, f64>(&compiled, fi, e - e0, local, &mut ev);
                 let slot = compiled.vslot[e] as usize;
                 let old = get_t(&fv, slot);
                 put(&mut fv, slot, damp(old, new, d));
